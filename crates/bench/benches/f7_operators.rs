@@ -1,8 +1,8 @@
-//! Criterion microbenchmarks for the blocked executor's operators: batch
-//! hash probes against the key-less projection index, built-in filters over
+//! Criterion microbenchmarks for the rule executor's operators: batch hash
+//! probes against the key-less projection index, built-in filters over
 //! binding blocks, and head projection + single-hash emission. These time
-//! the operator kernels in isolation; the end-to-end blocked-vs-tuple
-//! comparison is experiment F7 in the harness.
+//! the operator kernels in isolation; the end-to-end executor throughput is
+//! experiment F7 in the harness.
 
 use alexander_eval::BLOCK_ROWS;
 use alexander_ir::{hash_row, Builtin, Const, RowHasher};
@@ -28,18 +28,18 @@ fn bench_batch_probe(c: &mut Criterion) {
         let mask = Mask::of_columns(&[0]);
         g.bench_with_input(BenchmarkId::new("block_of_keys", n), &n, |b, &n| {
             // One block's worth of probes, the executor's inner loop shape:
-            // hash the key in place, narrow by a (non-trivial) id range,
-            // verify the candidate column.
+            // resolve the index once, then per key hash it in place, narrow
+            // by a (non-trivial) id range, verify the candidate column.
             b.iter(|| {
+                let ip = rel.index_probe(mask).expect("index built above");
                 let mut hits = 0usize;
                 for i in 0..BLOCK_ROWS {
                     let key = Const::int((i % n) as i64);
                     let mut h = RowHasher::new();
                     h.push(&key);
-                    let ids = rel
-                        .probe_ids_in(mask, h.finish(), Some((0, n as u32)), |rep| rep[0] == key)
-                        .unwrap_or(&[]);
-                    hits += ids.len();
+                    hits += ip
+                        .probe_in(h.finish(), Some((0, n as u32)), |rep| rep[0] == key)
+                        .len();
                 }
                 black_box(hits)
             })

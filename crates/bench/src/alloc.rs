@@ -1,5 +1,5 @@
-//! A counting global allocator for the allocations-per-fact columns of
-//! experiment F6.
+//! A counting global allocator for the allocations-per-fact column of
+//! experiment F7.
 //!
 //! Every binary and test that links this crate routes heap traffic through
 //! [`CountingAlloc`]: one relaxed atomic increment per `alloc`/`realloc`

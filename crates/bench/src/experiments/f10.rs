@@ -21,7 +21,7 @@
 //!
 //! The `chain(512)` / `batch(1)` row's `speedup` (full recompute over
 //! counting apply) is what the CI perf gate pins against the committed
-//! BENCH_F10.json (best-of-2 harness runs, 20% band, like F6–F9) with the
+//! BENCH_F10.json (best-of-2 harness runs, 20% band, like F7–F9) with the
 //! hard bar speedup ≥ 10.
 
 use crate::table::{ms, Table};
@@ -167,7 +167,7 @@ pub fn run_with(chain: usize, tree_depth: usize, cycle: usize, batches: &[usize]
          O(doomed) vs O(n²) case incremental maintenance exists for — and \
          the chain single-delete `speedup` is the CI-gated headline \
          (hard bar: ≥ 10x, then a 20% band against BENCH_F10.json, \
-         best-of-2, like F6–F9).",
+         best-of-2, like F7–F9).",
         &[
             "workload",
             "edges",

@@ -1,8 +1,9 @@
 //! F5 (figure): governance overhead — a governed-but-never-tripped run vs
 //! the ungoverned baseline.
 //!
-//! The resource governor sits on the hottest path in the system (one check
-//! per rule firing, via the claim-before-emit wrapper in `join_rule`), so
+//! The resource governor sits on the hottest path in the system (the rule
+//! executor's emission sink: a claim per firing under a step budget, a
+//! look per binding block otherwise), so
 //! its cost when budgets are generous must be negligible: the `active: bool`
 //! fast path reduces an absent budget to one branch, and a present-but-
 //! roomy budget to a couple of relaxed atomic updates amortised over the
@@ -11,7 +12,7 @@
 //! magnitude larger than what the run consumes, best-of-N each, and the
 //! table reports the relative overhead. The committed `BENCH_F5.json`
 //! records a `--release` run; the acceptance bar is < 5% overhead. (The
-//! bar was < 2% on the tuple-at-a-time engine; the blocked executor cut
+//! bar was < 2% on the earlier tuple-at-a-time executor; the blocked one cut
 //! the per-fact baseline ~1.6×, so the constant per-fact claim is now a
 //! proportionally larger slice of a much shorter run.)
 

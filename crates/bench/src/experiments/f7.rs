@@ -1,21 +1,19 @@
-//! F7 (figure): the blocked columnar executor vs the tuple-at-a-time join.
+//! F7 (figure): rule-executor throughput.
 //!
-//! Both sides are the *current* engine: the same `compile_rule` output, the
-//! same arena storage, the same governance hooks. The only difference is the
-//! rule executor — [`ExecMode::Blocked`] drives compiled plans over
-//! fixed-size binding blocks and hashes each head row once, while
-//! [`ExecMode::Tuple`] is the retained per-tuple oracle. Every rep asserts
-//! the two executors' fact totals, round counts and firing/probe/duplicate
-//! counters are exactly equal before any timing is reported, so the
-//! facts/sec ratio isolates the execution layer.
+//! Each row evaluates one program semi-naively through the executor —
+//! compiled rule plans driven over fixed-size binding blocks, each derived
+//! head row hashed once — and reports facts/sec, mean block occupancy and
+//! heap allocations per derived fact. Before any timing is reported, every
+//! rep's model is asserted equal to naive evaluation's (an independent
+//! fixpoint loop over the same executor) and every rep's counters equal the
+//! first rep's, so the number measures a run known to be right.
 //!
 //! The committed `BENCH_F7.json` records a `--release` run; the CI
 //! perf-smoke job re-runs `chain(450)/seminaive` and fails on a >20%
-//! blocked-facts/sec regression against it. The acceptance bar for the
-//! blocked executor was a ≥1.5× facts/sec win on that same row.
+//! facts/sec regression against it.
 
 use crate::table::{ms, timed, Table};
-use alexander_eval::{eval_seminaive_opts, EvalOptions, ExecMode};
+use alexander_eval::{eval_naive, eval_seminaive};
 use alexander_ir::Program;
 use alexander_parser::parse_atom;
 use alexander_storage::Database;
@@ -23,7 +21,7 @@ use alexander_transform::{alexander, sup_magic_sets, SipOptions};
 use alexander_workload as workload;
 use std::time::Duration;
 
-/// Timing repetitions per executor; the minimum is reported.
+/// Timing repetitions per row; the minimum is reported.
 const REPS: usize = 3;
 
 pub fn run() -> Table {
@@ -34,30 +32,27 @@ pub fn run() -> Table {
 pub fn run_with(chain_n: usize, tree_depth: usize, crossover_n: usize, reps: usize) -> Table {
     let mut t = Table::new(
         "F7",
-        "figure: blocked columnar executor vs tuple-at-a-time join",
-        "Each row evaluates the same program twice on the same arena \
-         engine: once per-tuple (the retained oracle) and once through \
-         compiled rule plans driven in 1024-row binding blocks, probing \
-         the projection indexes with a single in-place hash per key and \
-         hashing each derived head exactly once for the \
-         contains/insert/dedup triple. Fact totals, rounds and all \
-         inference counters are asserted equal before timing, so the \
-         facts/sec ratio isolates the execution layer. `rows/block` is \
-         the blocked run's mean occupancy. The committed BENCH_F7.json \
-         is the CI perf-smoke baseline for chain/seminaive blocked \
-         facts/sec.",
+        "figure: rule-executor throughput",
+        "Each row evaluates the program semi-naively through compiled rule \
+         plans driven in 1024-row binding blocks, probing the projection \
+         indexes with a single in-place hash per key and hashing each \
+         derived head exactly once for the contains/insert/dedup triple. \
+         Every rep's model is asserted equal to naive evaluation's and its \
+         counters equal to the first rep's before timing is reported. \
+         `rows_per_block` is the mean block occupancy; `allocs_per_fact` \
+         counts heap allocation events per derived fact via the counting \
+         global allocator. The committed BENCH_F7.json is the CI \
+         perf-smoke baseline for chain/seminaive facts/sec.",
         &[
             "workload",
             "strategy",
             "facts",
             "rounds",
             "firings",
-            "tuple_ms",
-            "blocked_ms",
-            "tuple_facts_per_sec",
-            "blocked_facts_per_sec",
-            "speedup",
+            "ms",
+            "facts_per_sec",
             "rows_per_block",
+            "allocs_per_fact",
         ],
     );
 
@@ -69,8 +64,8 @@ pub fn run_with(chain_n: usize, tree_depth: usize, crossover_n: usize, reps: usi
     let cases: Vec<(String, &Database, &str)> = vec![
         (format!("chain({chain_n})"), &chain, "anc(n0, X)"),
         (format!("tree(2,{tree_depth})"), &tree, "anc(n0, X)"),
-        // Free query: wide deltas, the blocked path's best case — every
-        // block runs near capacity.
+        // Free query: wide deltas, the executor's best case — every block
+        // runs near capacity.
         (format!("crossover({crossover_n})"), &crossover, "anc(X, Y)"),
     ];
 
@@ -89,6 +84,16 @@ pub fn run_with(chain_n: usize, tree_depth: usize, crossover_n: usize, reps: usi
     t
 }
 
+/// True iff `a` and `b` hold exactly the same facts.
+fn same_model(a: &Database, b: &Database) -> bool {
+    a.total_tuples() == b.total_tuples()
+        && a.iter().all(|(p, rel)| {
+            b.relation(p).is_some_and(|other| {
+                other.len() == rel.len() && rel.iter().all(|row| other.contains_row(row))
+            })
+        })
+}
+
 fn case_row(
     workload: &str,
     strategy: &str,
@@ -96,66 +101,47 @@ fn case_row(
     edb: &Database,
     reps: usize,
 ) -> Vec<String> {
-    let tuple_opts = EvalOptions::default().with_exec(ExecMode::Tuple);
-    let blocked_opts = EvalOptions::default();
-    let mut tuple_best = Duration::MAX;
-    let mut blocked_best = Duration::MAX;
-    let mut facts = 0u64;
-    let mut rounds = 0u64;
-    let mut firings = 0u64;
-    let mut rows_per_block = 0.0f64;
+    let oracle = eval_naive(program, edb).unwrap().db;
+    let mut best = Duration::MAX;
+    let mut allocs = 0u64;
+    let mut first: Option<alexander_eval::EvalMetrics> = None;
 
-    for rep in 0..reps.max(1) {
-        // Alternate the order so warm-up and turbo effects do not
-        // systematically favour one executor.
-        let (tuple, d_tuple, blocked, d_blocked) = if rep % 2 == 0 {
-            let (tuple, dt) = timed(|| eval_seminaive_opts(program, edb, tuple_opts.clone()));
-            let (blocked, db) = timed(|| eval_seminaive_opts(program, edb, blocked_opts.clone()));
-            (tuple.unwrap(), dt, blocked.unwrap(), db)
-        } else {
-            let (blocked, db) = timed(|| eval_seminaive_opts(program, edb, blocked_opts.clone()));
-            let (tuple, dt) = timed(|| eval_seminaive_opts(program, edb, tuple_opts.clone()));
-            (tuple.unwrap(), dt, blocked.unwrap(), db)
-        };
-        tuple_best = tuple_best.min(d_tuple);
-        blocked_best = blocked_best.min(d_blocked);
-
-        // The comparison is only meaningful if both executors did identical
-        // logical work, counter for counter.
-        assert_eq!(
-            tuple.metrics, blocked.metrics,
-            "{workload}/{strategy}: executors diverged"
-        );
-        assert_eq!(
-            tuple.db.total_tuples(),
-            blocked.db.total_tuples(),
-            "{workload}/{strategy}: fact totals diverged"
+    for _ in 0..reps.max(1) {
+        let a0 = crate::alloc::allocations();
+        let (run, d) = timed(|| eval_seminaive(program, edb).unwrap());
+        allocs = crate::alloc::allocations() - a0;
+        best = best.min(d);
+        assert!(
+            same_model(&run.db, &oracle),
+            "{workload}/{strategy}: semi-naive model differs from naive"
         );
         assert!(
-            blocked.metrics.exec.blocks_executed > 0,
-            "{workload}/{strategy}: blocked run executed no blocks"
+            run.metrics.exec.blocks_executed > 0,
+            "{workload}/{strategy}: the run executed no blocks"
         );
-        facts = blocked.metrics.new_facts;
-        rounds = blocked.metrics.iterations;
-        firings = blocked.metrics.firings;
-        rows_per_block = blocked.metrics.exec.rows_per_block();
+        match &first {
+            Some(m) => assert_eq!(
+                m, &run.metrics,
+                "{workload}/{strategy}: counters differ between reps"
+            ),
+            None => first = Some(run.metrics),
+        }
     }
 
-    let per_sec = |facts: u64, d: Duration| facts as f64 / d.as_secs_f64().max(1e-9);
-    let tuple_fps = per_sec(facts, tuple_best);
-    let blocked_fps = per_sec(facts, blocked_best);
+    // invariant: the loop above runs at least once.
+    let m = first.expect("at least one rep");
+    let facts = m.new_facts;
+    let fps = facts as f64 / best.as_secs_f64().max(1e-9);
     vec![
         workload.to_string(),
         strategy.to_string(),
         facts.to_string(),
-        rounds.to_string(),
-        firings.to_string(),
-        ms(tuple_best),
-        ms(blocked_best),
-        format!("{tuple_fps:.0}"),
-        format!("{blocked_fps:.0}"),
-        format!("{:.2}", blocked_fps / tuple_fps.max(1e-9)),
-        format!("{rows_per_block:.1}"),
+        m.iterations.to_string(),
+        m.firings.to_string(),
+        ms(best),
+        format!("{fps:.0}"),
+        format!("{:.1}", m.exec.rows_per_block()),
+        format!("{:.1}", allocs as f64 / (facts as f64).max(1.0)),
     ]
 }
 
@@ -164,18 +150,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn executors_agree_and_table_is_well_formed() {
-        // `case_row` asserts counter equality internally; surviving the run
-        // is the differential check. Small sizes keep the debug build fast.
-        let t = run_with(60, 6, 40, 1);
+    fn models_match_naive_and_table_is_well_formed() {
+        // `case_row` asserts each model against naive evaluation; surviving
+        // the run is the differential check. Small sizes keep the debug
+        // build fast.
+        let t = run_with(60, 6, 40, 2);
         assert_eq!(t.rows.len(), 9);
         for row in &t.rows {
             let facts: u64 = row[2].parse().unwrap();
             assert!(facts > 0, "{row:?}");
-            let speedup: f64 = row[9].parse().unwrap();
-            assert!(speedup > 0.0, "{row:?}");
-            let occupancy: f64 = row[10].parse().unwrap();
+            let fps: f64 = row[6].parse().unwrap();
+            assert!(fps > 0.0, "{row:?}");
+            let occupancy: f64 = row[7].parse().unwrap();
             assert!(occupancy > 0.0, "{row:?}");
         }
+    }
+
+    #[test]
+    fn same_model_compares_facts_not_order() {
+        let mut a = Database::new();
+        let mut b = Database::new();
+        let e = alexander_ir::Predicate::new("e", 2);
+        let x = alexander_storage::tuple_of_syms(&["x", "y"]);
+        let y = alexander_storage::tuple_of_syms(&["y", "z"]);
+        a.insert(e, x.clone());
+        a.insert(e, y.clone());
+        b.insert(e, y);
+        assert!(!same_model(&a, &b));
+        b.insert(e, x);
+        assert!(same_model(&a, &b));
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! `qps` at `clients(1)` is the number the CI perf gate pins against the
 //! committed `BENCH_F9.json` (20% band, best-of-2 harness runs, like
-//! F6/F7/F8); the higher-thread rows document scaling and p99 under
+//! F7/F8); the higher-thread rows document scaling and p99 under
 //! contention.
 
 use crate::loadgen::{

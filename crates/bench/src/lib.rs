@@ -17,7 +17,6 @@ pub mod alloc;
 #[cfg(feature = "failpoints")]
 pub mod chaos;
 pub mod experiments;
-pub mod legacy;
 pub mod loadgen;
 pub mod retrograde;
 pub mod table;

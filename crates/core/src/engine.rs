@@ -3,7 +3,7 @@
 use crate::strategy::{QueryResult, Report, Strategy};
 use alexander_eval::{
     eval_conditional_opts, eval_naive_opts, eval_seminaive_opts, eval_stratified_opts, Budget,
-    CancelHandle, Completion, Consumption, EvalError, EvalOptions, ExecMode,
+    CancelHandle, Completion, Consumption, EvalError, EvalOptions,
 };
 use alexander_ir::{match_atom, Atom, Polarity, Predicate, Program, Subst};
 use alexander_parser::{parse, ParseError};
@@ -136,14 +136,6 @@ impl Engine {
     /// (1 = sequential; answers and metrics are identical either way).
     pub fn with_threads(mut self, threads: usize) -> Engine {
         self.opts.threads = threads;
-        self
-    }
-
-    /// Selects the rule executor for the bottom-up fixpoint: the blocked
-    /// columnar executor (default) or the per-tuple join retained as a
-    /// differential oracle. Answers and metrics are identical either way.
-    pub fn with_exec(mut self, exec: ExecMode) -> Engine {
-        self.opts.exec = exec;
         self
     }
 
@@ -304,7 +296,6 @@ impl Engine {
                 facts_materialised: (db.total_tuples() - self.edb.total_tuples()) as u64,
                 rules_evaluated: self.program.rules.len(),
                 threads: self.opts.threads.max(1),
-                exec: Some(self.opts.exec),
                 completion,
                 consumed: eval_consumption(&metrics),
                 ..Report::default()
@@ -361,7 +352,6 @@ impl Engine {
                 undefined,
                 rules_evaluated: rw.program.rules.len(),
                 threads: self.opts.threads.max(1),
-                exec: Some(self.opts.exec),
                 completion,
                 consumed: eval_consumption(&metrics),
                 ..Report::default()
@@ -573,30 +563,6 @@ mod tests {
                 assert_eq!(a.report.eval, b.report.eval, "{s} @ {threads} threads");
                 assert_eq!(b.report.threads, threads);
             }
-        }
-    }
-
-    #[test]
-    fn executors_agree_on_answers_and_metrics() {
-        let q = parse_atom("anc(a, X)").unwrap();
-        let blocked = engine();
-        let tuple = engine().with_exec(ExecMode::Tuple);
-        for s in [
-            Strategy::SemiNaive,
-            Strategy::Stratified,
-            Strategy::Magic,
-            Strategy::SupplementaryMagic,
-            Strategy::Alexander,
-        ] {
-            let a = blocked.query(&q, s).unwrap();
-            let b = tuple.query(&q, s).unwrap();
-            assert_eq!(a.answers, b.answers, "{s}");
-            assert_eq!(a.report.eval, b.report.eval, "{s}");
-            assert_eq!(a.report.exec, Some(ExecMode::Blocked), "{s}");
-            assert_eq!(b.report.exec, Some(ExecMode::Tuple), "{s}");
-            let am = a.report.eval.unwrap();
-            assert!(am.exec.blocks_executed > 0, "{s} ran no blocks");
-            assert_eq!(b.report.eval.unwrap().exec.blocks_executed, 0, "{s}");
         }
     }
 

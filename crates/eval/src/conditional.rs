@@ -39,16 +39,15 @@
 //! facts), with `completion` reporting the trip and `undefined` left empty.
 
 use crate::error::EvalError;
+use crate::exec::{exec_plan, ExecScratch};
 use crate::govern::Completion;
-use crate::join::{
-    compile_rule, ensure_rule_indexes, join_rule_bindings, CompiledRule, JoinInput, JoinScratch,
-};
+use crate::join::{ensure_rule_indexes, Emitted, JoinInput};
 use crate::metrics::EvalMetrics;
-use crate::naive::seed_database;
+use crate::naive::{compile_rules, seed_database};
+use crate::plan::{compile_binding_plan, RulePlan};
 use alexander_ir::{Atom, FxHashMap, FxHashSet, Polarity, Program};
 use alexander_storage::Database;
 use std::collections::BTreeSet;
-use std::ops::ControlFlow;
 
 /// A set of delayed ground negative premises, canonically ordered.
 pub type Conditions = BTreeSet<Atom>;
@@ -170,14 +169,16 @@ pub fn eval_conditional_opts(
     // Compile the remaining (tainted) rules. Negative literals over static
     // predicates (EDB and the definite core) are checked inline against the
     // static database; negative *tainted* literals are delayed — their atoms
-    // are never in the static database, so the join's inline check passes
-    // and the emit callback collects them as conditions.
-    let compiled: Vec<CompiledRule> = program
-        .rules
-        .iter()
-        .filter(|r| tainted.contains(&r.head.predicate()))
-        .map(|r| compile_rule(r).map_err(EvalError::from))
-        .collect::<Result<_, _>>()?;
+    // are never in the static database, so the executor's inline check
+    // passes and the emit callback collects them as conditions. The plans
+    // emit whole binding rows so the callback can rebuild each body
+    // instance.
+    let compiled = compile_rules(
+        program
+            .rules
+            .iter()
+            .filter(|r| tainted.contains(&r.head.predicate())),
+    )?;
 
     // On a definite program (or one whose negations are all static) there
     // is nothing to delay: the phase-0 result IS the answer. Returning here
@@ -192,8 +193,10 @@ pub fn eval_conditional_opts(
     }
 
     // ---- Phase 1: the monotone T_c fixpoint. ----
+    let plans: Vec<RulePlan> = compiled.iter().map(compile_binding_plan).collect();
+    metrics.exec.plans_compiled += plans.len() as u64;
     let mut stmts = Statements::default();
-    let mut scratch = JoinScratch::new();
+    let mut scratch = ExecScratch::new();
     let mut stopped = false;
     'phase1: loop {
         if gov.note_round().is_break() {
@@ -213,61 +216,41 @@ pub fn eval_conditional_opts(
         }
 
         let mut changed = false;
-        for rule in &compiled {
+        for (rule, plan) in compiled.iter().zip(&plans) {
             let input = JoinInput {
-                total: &known,
-                delta: None,
-                sides: None,
                 negatives: Some(&static_db),
                 governor: gov_ref,
+                ..JoinInput::naive(&known)
             };
-            // Collect matches first: `stmts` is mutated after the join.
+            // Collect matches first: `stmts` is mutated after the run. A
+            // match whose head is already known (a fact or a statement head
+            // at round start) counts as a duplicate firing.
             let mut matches: Vec<(Atom, Vec<Atom>, Conditions)> = Vec::new();
-            let flow = join_rule_bindings(
-                rule,
-                &input,
-                &mut scratch,
-                &mut metrics,
-                &mut |rule, bind, metrics| {
-                    metrics.firings += 1;
-                    let head = rule
-                        .head
-                        // invariant: rule safety is validated before evaluation.
-                        .to_tuple(bind)
-                        .expect("safe rules ground their heads")
-                        .to_atom(rule.head.pred.name);
-                    let mut premises = Vec::new();
-                    let mut delayed = Conditions::new();
-                    for lit in &rule.body {
-                        let atom = lit
-                            .atom
-                            // invariant: EmitBindings fires after a full body
-                            // match, when every body variable is bound.
-                            .to_tuple(bind)
-                            .expect("ordered bodies are ground at emit")
-                            .to_atom(lit.atom.pred.name);
+            let flow = exec_plan(plan, &input, &mut scratch, &mut metrics, &mut |_, bind| {
+                let head = rule.head.instantiate(bind);
+                let mut premises = Vec::new();
+                let mut delayed = Conditions::new();
+                for lit in &rule.body {
+                    // Negations over static predicates (EDB and the definite
+                    // core) were already decided inline.
+                    if tainted.contains(&lit.atom.pred) {
+                        let atom = lit.atom.instantiate(bind);
                         match lit.polarity {
-                            Polarity::Positive => {
-                                if tainted.contains(&lit.atom.pred) {
-                                    premises.push(atom);
-                                }
-                            }
+                            Polarity::Positive => premises.push(atom),
                             Polarity::Negative => {
-                                if tainted.contains(&lit.atom.pred) {
-                                    delayed.insert(atom);
-                                }
-                                // Negations over static predicates (EDB and the
-                                // definite core) were already decided inline.
+                                delayed.insert(atom);
                             }
                         }
                     }
-                    matches.push((head, premises, delayed));
-                    match gov_ref {
-                        Some(g) => g.note_firing(),
-                        None => ControlFlow::Continue(()),
-                    }
-                },
-            );
+                }
+                let seen = known.contains_atom(&head);
+                matches.push((head, premises, delayed));
+                if seen {
+                    Emitted::Duplicate
+                } else {
+                    Emitted::New
+                }
+            });
             if flow.is_break() {
                 stopped = true;
                 break 'phase1;

@@ -28,7 +28,7 @@
 //! falls back per-SCC to **DRed** (delete-and-rederive,
 //! Gupta–Mumick–Subrahmanian). The DRed fallback itself is accelerated two
 //! ways: rederivation is asked per doomed fact as a *head-seeded* indexed
-//! probe ([`crate::join::join_rule_seeded`]) instead of a stratum re-join,
+//! probe ([`crate::exec::exec_plan_seeded`]) instead of a stratum re-join,
 //! and witnesses found that way are memoised as [`Justification`]s
 //! (see [`crate::provenance`]) so the next deletion touching the same fact
 //! re-checks the stored premises before joining at all.
@@ -44,19 +44,18 @@
 //! both directions and need stratified counting, out of scope here.
 
 use crate::error::EvalError;
-use crate::exec::{exec_plan, ExecScratch};
+use crate::exec::{exec_plan, exec_plan_seeded, ExecScratch};
 use crate::join::{
-    compile_rule, compile_rule_seeded, ensure_rule_indexes, join_rule_seeded, CompiledRule,
-    DeltaSource, Emitted, JoinInput, JoinScratch, SideSources,
+    compile_rule_seeded, ensure_rule_indexes, CompiledRule, DeltaSource, Emitted, JoinInput,
+    SideSources,
 };
 use crate::metrics::EvalMetrics;
-use crate::naive::seed_database;
-use crate::plan::{compile_plan, RulePlan};
+use crate::naive::{compile_rules, seed_database};
+use crate::plan::{compile_binding_plan, compile_plan, RulePlan};
 use crate::provenance::{Justification, Provenance};
 use alexander_ir::analysis::{tarjan, DepGraph};
 use alexander_ir::{Atom, FxHashMap, FxHashSet, Predicate, Program};
 use alexander_storage::{Database, DeltaSpans, Tuple};
-use std::ops::ControlFlow;
 
 /// How deletions are maintained.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -97,13 +96,14 @@ struct SccGroup {
 pub struct IncrementalEngine {
     program: Program,
     compiled: Vec<CompiledRule>,
-    /// One blocked-executor plan per compiled rule; maintenance always runs
-    /// the blocked executor (updates are not governed, so the tuple oracle
-    /// has nothing extra to offer here).
+    /// One executor plan per compiled rule.
     plans: Vec<RulePlan>,
     /// Head-seeded compilations of the same rules, for per-fact
     /// rederivation probes during the DRed fallback.
     seeded: Vec<CompiledRule>,
+    /// Binding-row plans of the `seeded` compilations: a probe's witness is
+    /// the whole binding row, from which the premises are rebuilt.
+    seeded_plans: Vec<RulePlan>,
     /// EDB + all derived facts, with the support-count column live.
     total: Database,
     /// The extensional predicates (facts the user may insert/delete).
@@ -146,11 +146,7 @@ impl IncrementalEngine {
                     .expect("non-definite program has a negative literal"),
             ));
         }
-        let compiled: Vec<CompiledRule> = program
-            .rules
-            .iter()
-            .map(|r| compile_rule(r).map_err(EvalError::from))
-            .collect::<Result<_, _>>()?;
+        let compiled = compile_rules(&program.rules)?;
         let seeded: Vec<CompiledRule> = program
             .rules
             .iter()
@@ -159,7 +155,8 @@ impl IncrementalEngine {
         let mut total = seed_database(&program, &edb);
         let mut metrics = EvalMetrics::default();
         let plans: Vec<RulePlan> = compiled.iter().map(compile_plan).collect();
-        metrics.exec.plans_compiled += plans.len() as u64;
+        let seeded_plans: Vec<RulePlan> = seeded.iter().map(compile_binding_plan).collect();
+        metrics.exec.plans_compiled += (plans.len() + seeded_plans.len()) as u64;
         let mut edb_preds: FxHashSet<Predicate> = edb.predicates().into_iter().collect();
         let mut protected: FxHashMap<Predicate, FxHashSet<Tuple>> = FxHashMap::default();
         for f in &program.facts {
@@ -185,6 +182,7 @@ impl IncrementalEngine {
             compiled,
             plans,
             seeded,
+            seeded_plans,
             total,
             edb_preds,
             protected,
@@ -403,13 +401,7 @@ impl IncrementalEngine {
         let mut staged = Database::new();
         let mut inc: Vec<(Predicate, u32)> = Vec::new();
         for (ri, rule) in self.compiled.iter().enumerate() {
-            let input = JoinInput {
-                total: &self.total,
-                delta: None,
-                sides: None,
-                negatives: None,
-                governor: None,
-            };
+            let input = JoinInput::naive(&self.total);
             counting_emit_pass(
                 &self.plans[ri],
                 rule.head.pred,
@@ -450,11 +442,9 @@ impl IncrementalEngine {
                         continue;
                     }
                     let input = JoinInput {
-                        total: &self.total,
                         delta: Some((i, DeltaSource::Spans(&spans))),
                         sides: Some(SideSources::InsertTriangle),
-                        negatives: None,
-                        governor: None,
+                        ..JoinInput::naive(&self.total)
                     };
                     counting_emit_pass(
                         &self.plans[ri],
@@ -537,11 +527,9 @@ impl IncrementalEngine {
                     continue;
                 }
                 let input = JoinInput {
-                    total: &self.total,
                     delta: Some((i, DeltaSource::Db(removed))),
                     sides: Some(SideSources::DeleteTriangle { removed }),
-                    negatives: None,
-                    governor: None,
+                    ..JoinInput::naive(&self.total)
                 };
                 let total_ref = &self.total;
                 let _ = exec_plan(
@@ -622,11 +610,9 @@ impl IncrementalEngine {
                         continue;
                     }
                     let input = JoinInput {
-                        total: &self.total,
                         delta: Some((i, DeltaSource::Db(source))),
                         sides: Some(SideSources::OldTotal { removed }),
-                        negatives: None,
-                        governor: None,
+                        ..JoinInput::naive(&self.total)
                     };
                     let doomed_ref = &doomed;
                     let protected_ref = &self.protected;
@@ -682,7 +668,6 @@ impl IncrementalEngine {
         // exactly the facts with support in the new state.
         let mut alive = vec![false; doomed_list.len()];
         let mut rederived = 0usize;
-        let mut jscratch = JoinScratch::new();
         loop {
             self.metrics.iterations += 1;
             for &ri in &group.rules {
@@ -705,44 +690,32 @@ impl IncrementalEngine {
                         if rule.head.pred != *p {
                             continue;
                         }
-                        let input = JoinInput {
-                            total: &self.total,
-                            delta: None,
-                            sides: None,
-                            negatives: None,
-                            governor: None,
-                        };
                         let mut found: Option<Justification> = None;
-                        join_rule_seeded(
-                            rule,
+                        // Refusing the first witness stops the probe; the
+                        // refused emission counts no firing, so it is
+                        // charged here.
+                        let _ = exec_plan_seeded(
+                            &self.seeded_plans[ri],
+                            &rule.head.args,
                             t.values(),
-                            &input,
-                            &mut jscratch,
+                            &JoinInput::naive(&self.total),
+                            scratch,
                             &mut self.metrics,
-                            &mut |rule, bind, metrics| {
-                                metrics.firings += 1;
-                                let premises = rule
-                                    .body
-                                    .iter()
-                                    .map(|lit| {
-                                        lit.atom
-                                            .to_tuple(bind)
-                                            // invariant: emit fires after a
-                                            // full body match, when every
-                                            // body variable is bound.
-                                            .expect("ordered bodies ground at emit")
-                                            .to_atom(lit.atom.pred.name)
-                                    })
-                                    .collect();
+                            &mut |_, bind| {
                                 found = Some(Justification {
                                     rule: ri,
-                                    premises,
+                                    premises: rule
+                                        .body
+                                        .iter()
+                                        .map(|lit| lit.atom.instantiate(bind))
+                                        .collect(),
                                     negatives: Vec::new(),
                                 });
-                                ControlFlow::Break(())
+                                Emitted::Refused
                             },
                         );
                         if found.is_some() {
+                            self.metrics.firings += 1;
                             witness = found;
                             break;
                         }
@@ -868,6 +841,7 @@ fn classify(program: &Program, mode: Maintenance) -> (Vec<SccGroup>, FxHashSet<P
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::compile_rule;
     use crate::seminaive::eval_seminaive;
     use alexander_parser::{parse, parse_atom};
     use alexander_workload as workload;
@@ -894,30 +868,22 @@ mod tests {
         let db = inc.db();
         // Expected firing counts per counted head fact, recomputed naively.
         let mut expected: FxHashMap<(Predicate, Tuple), u32> = FxHashMap::default();
-        let mut scratch = JoinScratch::new();
+        let mut scratch = ExecScratch::new();
         let mut metrics = EvalMetrics::default();
         for rule in &inc.program().rules {
             let compiled = compile_rule(rule).unwrap();
             if !inc.is_counted(compiled.head.pred) {
                 continue;
             }
-            let input = JoinInput {
-                total: db,
-                delta: None,
-                sides: None,
-                negatives: None,
-                governor: None,
-            };
-            let head = compiled.head.clone();
-            let _ = crate::join::join_rule_bindings(
-                &compiled,
-                &input,
+            let pred = compiled.head.pred;
+            let _ = exec_plan(
+                &compile_plan(&compiled),
+                &JoinInput::naive(db),
                 &mut scratch,
                 &mut metrics,
-                &mut |_, bind, _| {
-                    let t = head.to_tuple(bind).unwrap();
-                    *expected.entry((head.pred, t)).or_insert(0) += 1;
-                    ControlFlow::Continue(())
+                &mut |_, row| {
+                    *expected.entry((pred, Tuple::new(row))).or_insert(0) += 1;
+                    Emitted::New
                 },
             );
         }

@@ -16,13 +16,14 @@
 //! All evaluators return machine-independent [`EvalMetrics`] counters; the
 //! benchmark tables of the reproduction are built from these.
 //!
-//! By default rule bodies are compiled once per run into flat columnar
-//! plans ([`plan`]) and driven by a blocked executor ([`exec`]) that moves
-//! fixed-size blocks of binding rows through the operator pipeline and
-//! hashes each derived head row exactly once. The per-tuple join
-//! ([`ExecMode::Tuple`], via [`EvalOptions::with_exec`]) is retained as a
-//! differential oracle: both executors produce identical relations,
-//! identical emission order, and identical [`EvalMetrics`].
+//! Rule bodies are compiled once per run into flat columnar plans
+//! ([`plan`]) and driven by one executor ([`exec`]) that moves fixed-size
+//! blocks of binding rows through the operator pipeline and hashes each
+//! derived head row exactly once. Every evaluator — the fixpoints above,
+//! the conditional statements, provenance, and incremental maintenance —
+//! runs rule bodies through it. Naive evaluation is the differential oracle
+//! for the semi-naive engine; the top-down OLDT evaluator (in
+//! `alexander-topdown`) is the independent oracle for the models.
 //!
 //! The semi-naive engine (and everything layered on it) can parallelise each
 //! fixpoint round across worker threads via [`EvalOptions::threads`]; the
@@ -88,12 +89,12 @@ pub(crate) fn fail_point(_site: &str) {}
 
 pub use conditional::{eval_conditional, eval_conditional_opts, ConditionalResult, Conditions};
 pub use error::EvalError;
-pub use exec::{exec_plan, ExecMode, ExecScratch, BLOCK_ROWS};
+pub use exec::{exec_plan, ExecScratch, BLOCK_ROWS};
 pub use govern::{Budget, CancelHandle, Completion, Consumption, Governor, Resource};
 pub use incremental::{BatchOutcome, IncrementalEngine, Maintenance};
 pub use join::{
-    compile_rule, compile_rule_seeded, ensure_rule_indexes, join_rule, join_rule_bindings,
-    join_rule_seeded, CompiledRule, DeltaSource, Emitted, JoinInput, JoinScratch, SideSources,
+    compile_rule, compile_rule_seeded, ensure_rule_indexes, CompiledRule, DeltaSource, Emitted,
+    JoinInput, SideSources,
 };
 pub use metrics::{EvalMetrics, ExecStats};
 pub use naive::{eval_naive, eval_naive_opts, EvalOptions, EvalResult};

@@ -25,13 +25,12 @@ pub struct EvalMetrics {
     pub iterations: u64,
     /// Conditional statements generated (conditional-fixpoint runs only).
     pub conditional_statements: u64,
-    /// Execution-shape statistics of the blocked executor. Excluded from
-    /// equality: the logical counters above must agree between the blocked
-    /// and tuple-at-a-time paths, but only the blocked path executes blocks.
+    /// Execution-shape statistics of the executor. Excluded from equality:
+    /// they describe how the work was blocked, not what it derived.
     pub exec: ExecStats,
 }
 
-/// How the blocked executor shaped its work: how many rule plans were
+/// How the executor shaped its work: how many rule plans were
 /// compiled, how many binding blocks flowed through operators, and how many
 /// binding rows those blocks carried (so rows/block is derivable).
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
@@ -70,10 +69,8 @@ impl EvalMetrics {
     }
 }
 
-/// Equality compares the logical counters only. The differential tests
-/// assert `blocked == tuple == legacy` metric-for-metric; the blocked
-/// executor's [`ExecStats`] are shape, not semantics, and necessarily differ
-/// across executors.
+/// Equality compares the logical counters only — the ones the differential
+/// tests assert run for run; [`ExecStats`] are shape, not semantics.
 impl PartialEq for EvalMetrics {
     fn eq(&self, o: &EvalMetrics) -> bool {
         (

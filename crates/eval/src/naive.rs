@@ -2,15 +2,13 @@
 //! saturation. The baseline every other strategy is measured against.
 
 use crate::error::EvalError;
-use crate::exec::{exec_plan, ExecMode, ExecScratch};
+use crate::exec::{exec_plan, ExecScratch};
 use crate::fail_point;
 use crate::govern::{Budget, CancelHandle, Completion, Governor};
-use crate::join::{
-    compile_rule, ensure_rule_indexes, join_rule, CompiledRule, Emitted, JoinInput, JoinScratch,
-};
+use crate::join::{compile_rule, ensure_rule_indexes, CompiledRule, Emitted, JoinInput};
 use crate::metrics::EvalMetrics;
-use crate::plan::{compile_plans, RulePlan};
-use alexander_ir::{Polarity, Program};
+use crate::plan::compile_plans;
+use alexander_ir::{Polarity, Program, Rule};
 use alexander_storage::Database;
 
 /// Evaluator knobs.
@@ -32,11 +30,6 @@ pub struct EvalOptions {
     /// [`CancelHandle::cancel`] and the run stops at its next governance
     /// check, reporting [`Completion::Cancelled`].
     pub cancel: Option<CancelHandle>,
-    /// Which executor drives rule bodies: compiled plans over binding
-    /// blocks (the default), or the tuple-at-a-time join kept as the
-    /// differential-testing oracle. Both produce bit-identical results and
-    /// logical metrics.
-    pub exec: ExecMode,
 }
 
 impl Default for EvalOptions {
@@ -46,7 +39,6 @@ impl Default for EvalOptions {
             threads: 1,
             budget: Budget::UNLIMITED,
             cancel: None,
-            exec: ExecMode::default(),
         }
     }
 }
@@ -69,12 +61,6 @@ impl EvalOptions {
     /// Builder: attach a cancellation token.
     pub fn with_cancel(mut self, cancel: CancelHandle) -> EvalOptions {
         self.cancel = Some(cancel);
-        self
-    }
-
-    /// Builder: select the executor.
-    pub fn with_exec(mut self, exec: ExecMode) -> EvalOptions {
-        self.exec = exec;
         self
     }
 
@@ -110,8 +96,11 @@ pub(crate) fn check_semipositive(program: &Program) -> Result<(), EvalError> {
     Ok(())
 }
 
-pub(crate) fn compile_program(program: &Program) -> Result<Vec<CompiledRule>, EvalError> {
-    program.rules.iter().map(|r| Ok(compile_rule(r)?)).collect()
+/// Compiles every rule of `rules`, failing on the first unsafe one.
+pub(crate) fn compile_rules<'a>(
+    rules: impl IntoIterator<Item = &'a Rule>,
+) -> Result<Vec<CompiledRule>, EvalError> {
+    rules.into_iter().map(|r| Ok(compile_rule(r)?)).collect()
 }
 
 pub(crate) fn seed_database(program: &Program, edb: &Database) -> Database {
@@ -137,13 +126,12 @@ pub fn eval_naive_opts(
 ) -> Result<EvalResult, EvalError> {
     program.validate().map_err(EvalError::Invalid)?;
     check_semipositive(program)?;
-    let rules = compile_program(program)?;
+    let rules = compile_rules(&program.rules)?;
     let mut db = seed_database(program, edb);
     let mut metrics = EvalMetrics::default();
-    let plans: Option<Vec<RulePlan>> = compile_plans(&rules, opts.exec, &mut metrics);
+    let plans = compile_plans(&rules, &mut metrics);
     let gov = opts.governor();
     let gov_ref = gov.as_join_ref();
-    let mut scratch = JoinScratch::new();
     let mut exec_scratch = ExecScratch::new();
 
     loop {
@@ -161,45 +149,30 @@ pub fn eval_naive_opts(
         // facts only become visible next round.
         let mut staged = Database::new();
         let mut interrupted = false;
-        for (ri, rule) in rules.iter().enumerate() {
-            let head_pred = rule.head.pred;
+        for plan in &plans {
+            let head_pred = plan.head_pred;
             let input = JoinInput {
-                total: &db,
-                delta: None,
-                sides: None,
-                negatives: None,
                 governor: gov_ref,
+                ..JoinInput::naive(&db)
             };
-            let flow = match plans.as_ref() {
-                Some(plans) => exec_plan(
-                    &plans[ri],
-                    &input,
-                    &mut exec_scratch,
-                    &mut metrics,
-                    &mut |h, row| {
-                        if db.contains_row_hashed(head_pred, h, row)
-                            || staged.contains_row_hashed(head_pred, h, row)
-                        {
-                            Emitted::Duplicate
-                        } else if gov.claim_fact().is_break() {
-                            Emitted::Refused
-                        } else {
-                            staged.insert_row_hashed(head_pred, h, row);
-                            Emitted::New
-                        }
-                    },
-                ),
-                None => join_rule(rule, &input, &mut scratch, &mut metrics, &mut |row| {
-                    if db.contains_row(head_pred, row) || staged.contains_row(head_pred, row) {
+            let flow = exec_plan(
+                plan,
+                &input,
+                &mut exec_scratch,
+                &mut metrics,
+                &mut |h, row| {
+                    if db.contains_row_hashed(head_pred, h, row)
+                        || staged.contains_row_hashed(head_pred, h, row)
+                    {
                         Emitted::Duplicate
                     } else if gov.claim_fact().is_break() {
                         Emitted::Refused
                     } else {
-                        staged.insert_row(head_pred, row);
+                        staged.insert_row_hashed(head_pred, h, row);
                         Emitted::New
                     }
-                }),
-            };
+                },
+            );
             if flow.is_break() {
                 interrupted = true;
                 break;

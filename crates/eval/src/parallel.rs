@@ -14,12 +14,10 @@ use crate::error::EvalError;
 use crate::exec::{exec_plan, ExecScratch};
 use crate::fail_point;
 use crate::govern::Governor;
-use crate::join::{
-    compile_rule, ensure_rule_indexes, join_rule, CompiledRule, Emitted, JoinInput, JoinScratch,
-};
+use crate::join::{ensure_rule_indexes, Emitted, JoinInput};
 use crate::metrics::EvalMetrics;
-use crate::naive::{check_semipositive, seed_database, EvalOptions, EvalResult};
-use crate::plan::{compile_plans, RulePlan};
+use crate::naive::{check_semipositive, compile_rules, seed_database, EvalOptions, EvalResult};
+use crate::plan::compile_plans;
 use crate::seminaive::payload_string;
 use alexander_ir::{Predicate, Program};
 use alexander_storage::Database;
@@ -42,22 +40,11 @@ pub fn eval_naive_parallel_opts(
 ) -> Result<EvalResult, EvalError> {
     program.validate().map_err(EvalError::Invalid)?;
     check_semipositive(program)?;
-    let rules: Vec<CompiledRule> = program
-        .rules
-        .iter()
-        .map(|r| compile_rule(r).map_err(EvalError::from))
-        .collect::<Result<_, _>>()?;
+    let rules = compile_rules(&program.rules)?;
     let threads = opts.threads.max(1);
     let mut db = seed_database(program, edb);
     let mut metrics = EvalMetrics::default();
-    let plans: Option<Vec<RulePlan>> = compile_plans(&rules, opts.exec, &mut metrics);
-    // Workers chunk over (rule, plan) units so each rule travels with its
-    // compiled plan when the blocked executor is selected.
-    let units: Vec<(&CompiledRule, Option<&RulePlan>)> = rules
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (r, plans.as_ref().map(|ps| &ps[i])))
-        .collect();
+    let plans = compile_plans(&rules, &mut metrics);
     let gov = Governor::new(opts.budget, opts.cancel.clone());
     let governor = gov.as_join_ref();
 
@@ -77,72 +64,46 @@ pub fn eval_naive_parallel_opts(
         // its own counters match what a sequential pass over the same rules
         // would report. Workers catch their own panics; a panic is surfaced
         // after all siblings drain.
-        let chunk = units.len().div_ceil(threads);
+        let chunk = plans.len().div_ceil(threads);
         let db_ref = &db;
         type WorkerOut = (EvalMetrics, Database, Vec<(Predicate, u32)>);
         let results: Vec<std::thread::Result<WorkerOut>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = units
+            let handles: Vec<_> = plans
                 .chunks(chunk.max(1))
-                .map(|chunk_units| {
+                .map(|chunk_plans| {
                     scope.spawn(move || {
                         catch_unwind(AssertUnwindSafe(|| {
                             let mut local_metrics = EvalMetrics::default();
                             let mut staging = Database::new();
                             let mut log: Vec<(Predicate, u32)> = Vec::new();
-                            let mut scratch = JoinScratch::new();
                             let mut exec_scratch = ExecScratch::new();
-                            for &(rule, plan) in chunk_units {
+                            for plan in chunk_plans {
                                 fail_point("round-worker");
-                                let head = rule.head.pred;
+                                let head = plan.head_pred;
                                 let input = JoinInput {
-                                    total: db_ref,
-                                    delta: None,
-                                    sides: None,
-                                    negatives: None,
                                     governor,
+                                    ..JoinInput::naive(db_ref)
                                 };
-                                let flow = match plan {
-                                    Some(plan) => exec_plan(
-                                        plan,
-                                        &input,
-                                        &mut exec_scratch,
-                                        &mut local_metrics,
-                                        &mut |h, row| {
-                                            if db_ref.contains_row_hashed(head, h, row) {
-                                                return Emitted::Duplicate;
-                                            }
-                                            if staging.contains_row_hashed(head, h, row) {
-                                                return Emitted::Duplicate;
-                                            }
-                                            if governor.is_some_and(|g| g.claim_fact().is_break()) {
-                                                return Emitted::Refused;
-                                            }
-                                            staging.insert_row_hashed(head, h, row);
-                                            log.push((head, staging.len_of(head) as u32 - 1));
-                                            Emitted::New
-                                        },
-                                    ),
-                                    None => join_rule(
-                                        rule,
-                                        &input,
-                                        &mut scratch,
-                                        &mut local_metrics,
-                                        &mut |row| {
-                                            if db_ref.contains_row(head, row) {
-                                                return Emitted::Duplicate;
-                                            }
-                                            if staging.contains_row(head, row) {
-                                                return Emitted::Duplicate;
-                                            }
-                                            if governor.is_some_and(|g| g.claim_fact().is_break()) {
-                                                return Emitted::Refused;
-                                            }
-                                            staging.insert_row(head, row);
-                                            log.push((head, staging.len_of(head) as u32 - 1));
-                                            Emitted::New
-                                        },
-                                    ),
-                                };
+                                let flow = exec_plan(
+                                    plan,
+                                    &input,
+                                    &mut exec_scratch,
+                                    &mut local_metrics,
+                                    &mut |h, row| {
+                                        if db_ref.contains_row_hashed(head, h, row) {
+                                            return Emitted::Duplicate;
+                                        }
+                                        if staging.contains_row_hashed(head, h, row) {
+                                            return Emitted::Duplicate;
+                                        }
+                                        if governor.is_some_and(|g| g.claim_fact().is_break()) {
+                                            return Emitted::Refused;
+                                        }
+                                        staging.insert_row_hashed(head, h, row);
+                                        log.push((head, staging.len_of(head) as u32 - 1));
+                                        Emitted::New
+                                    },
+                                );
                                 if flow.is_break() {
                                     break;
                                 }

@@ -1,5 +1,5 @@
 //! The rule-plan compiler: lowers a [`CompiledRule`] into a flat sequence of
-//! columnar operators for the blocked executor.
+//! columnar operators for the rule executor.
 //!
 //! [`compile_rule`](crate::join::compile_rule) already did the semantic
 //! work — body reordering, dense variable slots, per-literal bound masks and
@@ -72,19 +72,14 @@ pub struct RulePlan {
     pub nvars: usize,
 }
 
-/// Compiles the run's plan cache when the blocked executor is selected
-/// (`None` keeps the tuple-at-a-time oracle). Charges `plans_compiled` so
-/// the metrics expose how many plans the run cached.
+/// Compiles the run's plan cache, one plan per rule. Charges
+/// `plans_compiled` so the metrics expose how many plans the run cached.
 pub(crate) fn compile_plans(
     rules: &[CompiledRule],
-    exec: crate::exec::ExecMode,
     metrics: &mut crate::metrics::EvalMetrics,
-) -> Option<Vec<RulePlan>> {
-    if exec != crate::exec::ExecMode::Blocked {
-        return None;
-    }
+) -> Vec<RulePlan> {
     metrics.exec.plans_compiled += rules.len() as u64;
-    Some(rules.iter().map(compile_plan).collect())
+    rules.iter().map(compile_plan).collect()
 }
 
 /// Lowers one compiled rule into its operator pipeline.
@@ -100,6 +95,18 @@ pub fn compile_plan(rule: &CompiledRule) -> RulePlan {
         head: rule.head.args.clone(),
         ops,
         nvars: rule.nvars,
+    }
+}
+
+/// Lowers `rule` like [`compile_plan`], but projects the whole binding row
+/// — every variable slot, in slot order — instead of the head. Callers that
+/// rebuild body instances from a match (conditional statements,
+/// justifications, rederivation witnesses) read the slots off the emitted
+/// row with [`AtomPat::instantiate`](crate::join::AtomPat::instantiate).
+pub fn compile_binding_plan(rule: &CompiledRule) -> RulePlan {
+    RulePlan {
+        head: (0..rule.nvars as u32).map(Pat::Var).collect(),
+        ..compile_plan(rule)
     }
 }
 

@@ -14,17 +14,16 @@
 //! first-justification-wins yields well-founded trees.
 
 use crate::error::EvalError;
+use crate::exec::{exec_plan, ExecScratch};
 use crate::govern::Completion;
-use crate::join::{
-    compile_rule, ensure_rule_indexes, join_rule_bindings, CompiledRule, JoinInput, JoinScratch,
-};
+use crate::join::{compile_rule, ensure_rule_indexes, CompiledRule, Emitted, JoinInput};
 use crate::metrics::EvalMetrics;
 use crate::naive::{seed_database, EvalResult};
+use crate::plan::{compile_binding_plan, RulePlan};
 use alexander_ir::analysis::stratify;
 use alexander_ir::{Atom, FxHashMap, Polarity, Program, Rule};
 use alexander_storage::Database;
 use std::fmt;
-use std::ops::ControlFlow;
 
 /// Why one fact holds: the rule instance that first derived it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,7 +52,7 @@ impl Provenance {
     /// Records (or replaces) the justification for `fact`. The incremental
     /// engine uses this to memoise rederivation witnesses: the next deletion
     /// touching `fact` re-checks the stored premises before falling back to
-    /// a head-seeded join.
+    /// a head-seeded probe.
     pub fn record(&mut self, fact: Atom, justification: Justification) {
         self.justifications.insert(fact, justification);
     }
@@ -195,7 +194,7 @@ pub fn eval_with_provenance(
     let mut db = seed_database(program, edb);
     let mut metrics = EvalMetrics::default();
     let mut prov = Provenance::default();
-    let mut scratch = JoinScratch::new();
+    let mut scratch = ExecScratch::new();
 
     // Indexed rule list per stratum, keeping source indices for the
     // justification records.
@@ -213,6 +212,13 @@ pub fn eval_with_provenance(
             .iter()
             .map(|(i, r)| Ok((*i, compile_rule(r)?)))
             .collect::<Result<_, crate::order::Unorderable>>()?;
+        // Binding-row plans: a justification needs the body instance, not
+        // just the head.
+        let plans: Vec<RulePlan> = compiled
+            .iter()
+            .map(|(_, r)| compile_binding_plan(r))
+            .collect();
+        metrics.exec.plans_compiled += plans.len() as u64;
 
         // Naive rounds within the stratum (provenance favours clarity over
         // delta bookkeeping; the recorded trees are identical).
@@ -222,59 +228,32 @@ pub fn eval_with_provenance(
                 ensure_rule_indexes(r, &mut db);
             }
             let mut fresh: Vec<(Atom, Justification)> = Vec::new();
-            for (ri, rule) in &compiled {
-                let input = JoinInput {
-                    total: &db,
-                    delta: None,
-                    sides: None,
-                    negatives: None,
-                    governor: None,
-                };
-                let _ = join_rule_bindings(
-                    rule,
-                    &input,
-                    &mut scratch,
-                    &mut metrics,
-                    &mut |rule, bind, metrics| {
-                        metrics.firings += 1;
-                        let head = rule
-                            .head
-                            // invariant: rule safety is validated before
-                            // evaluation.
-                            .to_tuple(bind)
-                            .expect("safe heads ground")
-                            .to_atom(rule.head.pred.name);
-                        if db.contains_atom(&head) {
-                            metrics.duplicate_facts += 1;
-                            return ControlFlow::Continue(());
+            for ((ri, rule), plan) in compiled.iter().zip(&plans) {
+                let input = JoinInput::naive(&db);
+                let _ = exec_plan(plan, &input, &mut scratch, &mut metrics, &mut |_, bind| {
+                    let head = rule.head.instantiate(bind);
+                    if db.contains_atom(&head) {
+                        return Emitted::Duplicate;
+                    }
+                    let mut premises = Vec::new();
+                    let mut negatives = Vec::new();
+                    for lit in &rule.body {
+                        let atom = lit.atom.instantiate(bind);
+                        match lit.polarity {
+                            Polarity::Positive => premises.push(atom),
+                            Polarity::Negative => negatives.push(atom),
                         }
-                        let mut premises = Vec::new();
-                        let mut negatives = Vec::new();
-                        for lit in &rule.body {
-                            let atom = lit
-                                .atom
-                                // invariant: EmitBindings fires after a full
-                                // body match, when every body variable is bound.
-                                .to_tuple(bind)
-                                .expect("ordered bodies ground at emit")
-                                .to_atom(lit.atom.pred.name);
-                            match lit.polarity {
-                                Polarity::Positive => premises.push(atom),
-                                Polarity::Negative => negatives.push(atom),
-                            }
-                        }
-                        metrics.new_facts += 1;
-                        fresh.push((
-                            head,
-                            Justification {
-                                rule: *ri,
-                                premises,
-                                negatives,
-                            },
-                        ));
-                        ControlFlow::Continue(())
-                    },
-                );
+                    }
+                    fresh.push((
+                        head,
+                        Justification {
+                            rule: *ri,
+                            premises,
+                            negatives,
+                        },
+                    ));
+                    Emitted::New
+                });
             }
             let mut grew = false;
             for (atom, j) in fresh {

@@ -43,12 +43,9 @@ use crate::error::EvalError;
 use crate::exec::{exec_plan, ExecScratch};
 use crate::fail_point;
 use crate::govern::Governor;
-use crate::join::{
-    compile_rule, ensure_rule_indexes, join_rule, CompiledRule, DeltaSource, Emitted, JoinInput,
-    JoinScratch,
-};
+use crate::join::{ensure_rule_indexes, DeltaSource, Emitted, JoinInput};
 use crate::metrics::EvalMetrics;
-use crate::naive::{check_semipositive, seed_database, EvalOptions, EvalResult};
+use crate::naive::{check_semipositive, compile_rules, seed_database, EvalOptions, EvalResult};
 use crate::plan::{compile_plans, RulePlan};
 use alexander_ir::{Polarity, Predicate, Program, Rule};
 use alexander_storage::{Database, DeltaSpans};
@@ -107,10 +104,7 @@ pub(crate) fn run_rules(
     negatives: Option<&Database>,
     gov: Option<&Governor>,
 ) -> Result<(), EvalError> {
-    let compiled: Vec<CompiledRule> = rules
-        .iter()
-        .map(|r| compile_rule(r).map_err(EvalError::from))
-        .collect::<Result<_, _>>()?;
+    let compiled = compile_rules(rules)?;
     let derived: Vec<Predicate> = {
         let mut ps: Vec<Predicate> = compiled.iter().map(|r| r.head.pred).collect();
         ps.sort_unstable();
@@ -118,19 +112,16 @@ pub(crate) fn run_rules(
         ps
     };
 
-    // Rule plans for the blocked executor, compiled once and shared
-    // read-only by every round and worker (`None` selects the
-    // tuple-at-a-time oracle).
-    let plans: Option<Vec<RulePlan>> = compile_plans(&compiled, opts.exec, metrics);
-    let plan_of = |rule_index: usize| plans.as_ref().map(|ps| &ps[rule_index]);
+    // Rule plans, compiled once and shared read-only by every round and
+    // worker.
+    let plans = compile_plans(&compiled, metrics);
 
     let governor = gov.filter(|g| g.active());
     let threads = opts.threads.max(1);
 
-    // One scratch of each kind for the whole fixpoint: round N+1 reuses
-    // round N's grown buffers, so the steady state allocates nothing. The
-    // parallel fan-out keeps per-worker scratches instead.
-    let mut scratch = JoinScratch::new();
+    // One scratch for the whole fixpoint: round N+1 reuses round N's grown
+    // buffers, so the steady state allocates nothing. The parallel fan-out
+    // keeps per-worker scratches instead.
     let mut exec_scratch = ExecScratch::new();
 
     // Round 0: full join over the seed database, one work item per rule.
@@ -145,12 +136,10 @@ pub(crate) fn run_rules(
         }
     }
     let mut staged = Database::new();
-    let mut tasks: Vec<RoundTask<'_>> = compiled
+    let mut tasks: Vec<RoundTask<'_>> = plans
         .iter()
-        .enumerate()
-        .map(|(ri, rule)| RoundTask {
-            rule,
-            plan: plan_of(ri),
+        .map(|plan| RoundTask {
+            plan,
             delta_pos: None,
         })
         .collect();
@@ -163,7 +152,6 @@ pub(crate) fn run_rules(
         metrics,
         &mut staged,
         governor,
-        &mut scratch,
         &mut exec_scratch,
     )?;
     db.absorb_staged(&staged);
@@ -194,15 +182,14 @@ pub(crate) fn run_rules(
         }
         staged.clear_retaining();
         tasks.clear();
-        for (ri, rule) in compiled.iter().enumerate() {
+        for (rule, plan) in compiled.iter().zip(&plans) {
             for (i, lit) in rule.body.iter().enumerate() {
                 if lit.polarity == Polarity::Positive
                     && derived.binary_search(&lit.atom.pred).is_ok()
                     && spans.len_of(lit.atom.pred) > 0
                 {
                     tasks.push(RoundTask {
-                        rule,
-                        plan: plan_of(ri),
+                        plan,
                         delta_pos: Some(i),
                     });
                 }
@@ -217,7 +204,6 @@ pub(crate) fn run_rules(
             metrics,
             &mut staged,
             governor,
-            &mut scratch,
             &mut exec_scratch,
         )?;
         db.absorb_staged(&staged);
@@ -229,12 +215,10 @@ pub(crate) fn run_rules(
     Ok(())
 }
 
-/// One unit of per-round work: a compiled rule, optionally specialised to a
-/// delta position (one delta-rewriting variant). Carries the rule's blocked
-/// plan when that executor is selected.
+/// One unit of per-round work: a rule plan, optionally specialised to a
+/// delta position (one delta-rewriting variant).
 struct RoundTask<'a> {
-    rule: &'a CompiledRule,
-    plan: Option<&'a RulePlan>,
+    plan: &'a RulePlan,
     delta_pos: Option<usize>,
 }
 
@@ -270,7 +254,6 @@ fn run_round_tasks(
     metrics: &mut EvalMetrics,
     next: &mut Database,
     governor: Option<&Governor>,
-    scratch: &mut JoinScratch,
     exec_scratch: &mut ExecScratch,
 ) -> Result<(), EvalError> {
     let delta_of = |pos: Option<usize>| {
@@ -287,7 +270,8 @@ fn run_round_tasks(
         let run = catch_unwind(AssertUnwindSafe(|| {
             for task in tasks {
                 fail_point("round-worker");
-                let head_pred = task.rule.head.pred;
+                let plan = task.plan;
+                let head_pred = plan.head_pred;
                 let input = JoinInput {
                     total: db,
                     delta: delta_of(task.delta_pos),
@@ -295,9 +279,8 @@ fn run_round_tasks(
                     negatives,
                     governor,
                 };
-                let flow = match task.plan {
-                    Some(plan) if governor.is_some() => {
-                        let gov = governor.expect("guarded by the match arm");
+                let flow = match governor {
+                    Some(gov) => {
                         exec_plan(plan, &input, exec_scratch, metrics, &mut |h, row| {
                             if db.contains_row_hashed(head_pred, h, row)
                                 || next.contains_row_hashed(head_pred, h, row)
@@ -316,23 +299,13 @@ fn run_round_tasks(
                     // Ungoverned fast path: no claim can refuse, so newness
                     // comes straight off the staging insert — one staging
                     // lookup instead of a contains/insert pair.
-                    Some(plan) => exec_plan(plan, &input, exec_scratch, metrics, &mut |h, row| {
+                    None => exec_plan(plan, &input, exec_scratch, metrics, &mut |h, row| {
                         if db.contains_row_hashed(head_pred, h, row) {
                             Emitted::Duplicate
                         } else if next.insert_row_hashed(head_pred, h, row) {
                             Emitted::New
                         } else {
                             Emitted::Duplicate
-                        }
-                    }),
-                    None => join_rule(task.rule, &input, scratch, metrics, &mut |row| {
-                        if db.contains_row(head_pred, row) || next.contains_row(head_pred, row) {
-                            Emitted::Duplicate
-                        } else if governor.is_some_and(|g| g.claim_fact().is_break()) {
-                            Emitted::Refused
-                        } else {
-                            next.insert_row(head_pred, row);
-                            Emitted::New
                         }
                     }),
                 };
@@ -362,11 +335,11 @@ fn run_round_tasks(
                         let mut local = EvalMetrics::default();
                         let mut staging = Database::new();
                         let mut log: Vec<(Predicate, u32)> = Vec::new();
-                        let mut scratch = JoinScratch::new();
                         let mut exec_scratch = ExecScratch::new();
                         for task in chunk_tasks {
                             fail_point("round-worker");
-                            let head_pred = task.rule.head.pred;
+                            let plan = task.plan;
+                            let head_pred = plan.head_pred;
                             let input = JoinInput {
                                 total: frozen.db(),
                                 delta: delta_of(task.delta_pos),
@@ -374,9 +347,8 @@ fn run_round_tasks(
                                 negatives,
                                 governor,
                             };
-                            let flow = match task.plan {
-                                Some(plan) if governor.is_some() => {
-                                    let gov = governor.expect("guarded by the match arm");
+                            let flow = match governor {
+                                Some(gov) => {
                                     exec_plan(
                                         plan,
                                         &input,
@@ -410,7 +382,7 @@ fn run_round_tasks(
                                 // Ungoverned fast path, as in the sequential
                                 // branch: worker-local dedup straight off the
                                 // staging insert.
-                                Some(plan) => exec_plan(
+                                None => exec_plan(
                                     plan,
                                     &input,
                                     &mut exec_scratch,
@@ -429,33 +401,6 @@ fn run_round_tasks(
                                         } else {
                                             Emitted::Duplicate
                                         }
-                                    },
-                                ),
-                                None => join_rule(
-                                    task.rule,
-                                    &input,
-                                    &mut scratch,
-                                    &mut local,
-                                    &mut |row| {
-                                        if frozen
-                                            .relation(head_pred)
-                                            .is_some_and(|r| r.contains_row(row))
-                                        {
-                                            return Emitted::Duplicate;
-                                        }
-                                        // Worker-local dedup via the staging
-                                        // relation; cross-worker collisions
-                                        // are reclassified at merge time.
-                                        if staging.contains_row(head_pred, row) {
-                                            return Emitted::Duplicate;
-                                        }
-                                        if governor.is_some_and(|g| g.claim_fact().is_break()) {
-                                            return Emitted::Refused;
-                                        }
-                                        staging.insert_row(head_pred, row);
-                                        let id = staging.len_of(head_pred) as u32 - 1;
-                                        log.push((head_pred, id));
-                                        Emitted::New
                                     },
                                 ),
                             };

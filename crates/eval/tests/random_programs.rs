@@ -8,15 +8,14 @@
 //! database plus one when the fact is externally stored in the EDB.
 
 use alexander_eval::{
-    compile_rule, eval_seminaive_opts, join_rule_bindings, EvalMetrics, EvalOptions,
-    IncrementalEngine, JoinInput, JoinScratch, Maintenance,
+    compile_plan, compile_rule, eval_seminaive_opts, exec_plan, Emitted, EvalMetrics, EvalOptions,
+    ExecScratch, IncrementalEngine, JoinInput, Maintenance,
 };
 use alexander_ir::{Atom, Predicate, Program};
 use alexander_parser::{parse, parse_atom};
-use alexander_storage::Database;
+use alexander_storage::{Database, Tuple};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::ops::ControlFlow;
 
 /// Program templates spanning the maintenance regimes: purely counted
 /// strata, a recursive SCC (DRed fallback inside the counting engine), and
@@ -79,34 +78,26 @@ fn model_db(model: &BTreeSet<String>) -> Database {
 /// counted predicates carry the exact firing count (plus external storage).
 fn check_supports(inc: &IncrementalEngine, program: &Program, oracle: &Database) {
     let db = inc.db();
-    // Distinct firings per counted head fact, recomputed by naive joins
-    // over the oracle database.
+    // Distinct firings per counted head fact, recomputed by one naive
+    // executor pass per rule over the oracle database.
     let mut firings: std::collections::HashMap<String, u32> = std::collections::HashMap::new();
-    let mut scratch = JoinScratch::new();
+    let mut scratch = ExecScratch::new();
     let mut metrics = EvalMetrics::default();
     for rule in &program.rules {
         let compiled = compile_rule(rule).unwrap();
         if !inc.is_counted(compiled.head.pred) {
             continue;
         }
-        let input = JoinInput {
-            total: oracle,
-            delta: None,
-            sides: None,
-            negatives: None,
-            governor: None,
-        };
-        let head = compiled.head.clone();
-        let _ = join_rule_bindings(
-            &compiled,
-            &input,
+        let name = compiled.head.pred.name;
+        let _ = exec_plan(
+            &compile_plan(&compiled),
+            &JoinInput::naive(oracle),
             &mut scratch,
             &mut metrics,
-            &mut |_, bind, _| {
-                let t = head.to_tuple(bind).unwrap();
-                let atom = t.to_atom(head.pred.name);
+            &mut |_, row| {
+                let atom = Tuple::new(row).to_atom(name);
                 *firings.entry(atom.to_string()).or_insert(0) += 1;
-                ControlFlow::Continue(())
+                Emitted::New
             },
         );
     }

@@ -716,26 +716,9 @@ impl Relation {
         Some(index.probe(hash, |rid| self.row(rid), key_eq))
     }
 
-    /// [`Relation::probe_ids`] restricted to the id range `[lo, hi)` — the
-    /// semi-naive delta restriction as a single entry point. Posting lists
-    /// are ascending, so the restriction is at most two binary searches;
-    /// `None` still means "no index for this mask, fall back to a scan".
-    #[inline]
-    pub fn probe_ids_in(
-        &self,
-        mask: Mask,
-        hash: u64,
-        range: Option<(u32, u32)>,
-        key_eq: impl FnMut(&[Const]) -> bool,
-    ) -> Option<&[u32]> {
-        let ids = self.probe_ids(mask, hash, key_eq)?;
-        Some(narrow(ids, range, self.len))
-    }
-
     /// Resolves the index for `mask` once — `None` when no index exists
-    /// (the caller falls back to a scan). Blocked executors hold the handle
-    /// for a whole block of probes, so the per-probe mask lookup the
-    /// tuple-at-a-time path pays disappears.
+    /// (the caller falls back to a scan). The rule executor holds the handle
+    /// for a whole block of probes, so no probe pays a mask lookup.
     #[inline]
     pub fn index_probe(&self, mask: Mask) -> Option<IndexProbe<'_>> {
         let index = self.indexes.get(&mask)?;
@@ -946,8 +929,10 @@ pub struct IndexProbe<'r> {
 }
 
 impl<'r> IndexProbe<'r> {
-    /// As [`Relation::probe_ids_in`], minus the per-call index resolution
-    /// (and never `None` — holding the handle proves the index exists).
+    /// As [`Relation::probe_ids`], restricted to the id range `[lo, hi)` —
+    /// the semi-naive delta restriction. Posting lists are ascending, so
+    /// the restriction is at most two binary searches. Never `None`:
+    /// holding the handle proves the index exists.
     #[inline]
     pub fn probe_in(
         &self,

@@ -32,3 +32,46 @@ pub use metrics::OldtMetrics;
 pub use oldt::{oldt_query, oldt_query_opts, OldtError, OldtOptions, OldtResult};
 pub use qsqr::{qsqr_query, qsqr_query_opts, QsqrError, QsqrOptions, QsqrResult};
 pub use sld::{sld_query, SldError, SldOptions, SldResult};
+
+use alexander_ir::{Atom, FxHashMap, Literal, Rule, Term, Var};
+
+/// Renames `rule`'s variables to fixed per-slot names `#0`, `#1`, … in
+/// order of first occurrence. OLDT and QSQR hold one rule instance per
+/// resolution node, resolved against ground answers and canonical calls
+/// (whose variables are `_C…`), so one fixed name per slot keeps the
+/// instance apart from everything it meets. The names are interned once
+/// per process, not once per resolution step, so the symbol interner stays
+/// bounded however many queries a long-running server answers. No parsed
+/// program can contain them: the lexer's identifiers are alphanumeric or
+/// `_`.
+pub(crate) fn standardize(rule: &Rule) -> Rule {
+    let mut slots: FxHashMap<Var, Var> = FxHashMap::default();
+    let mut rename = |atom: &Atom| Atom {
+        pred: atom.pred,
+        terms: atom
+            .terms
+            .iter()
+            .map(|&t| match t {
+                Term::Const(_) => t,
+                Term::Var(v) => {
+                    let next = slots.len();
+                    Term::Var(
+                        *slots
+                            .entry(v)
+                            .or_insert_with(|| Var::new(&format!("#{next}"))),
+                    )
+                }
+            })
+            .collect(),
+    };
+    let head = rename(&rule.head);
+    let body = rule
+        .body
+        .iter()
+        .map(|l| Literal {
+            atom: rename(&l.atom),
+            polarity: l.polarity,
+        })
+        .collect();
+    Rule { head, body }
+}

@@ -202,30 +202,30 @@ impl<'a> Engine<'a> {
         self.table_of.insert(canon.clone(), t);
         self.metrics.calls += 1;
 
-        // Seed generators: resolve the canonical call against every rule.
+        // Seed generators: resolve the canonical call against every rule
+        // (standardized apart from the call once, when the engine was built).
         let rules = self
             .rules_by_pred
             .get(&canon.predicate())
             .cloned()
             .unwrap_or_default();
         for rule in rules {
-            let fresh = rule.rectified();
             let mut s = Subst::new();
-            if alexander_ir::unify_atoms(&canon, &fresh.head, &mut s) {
+            if alexander_ir::unify_atoms(&canon, &rule.head, &mut s) {
                 self.metrics.resolution_steps += 1;
-                let bound: FxHashSet<Var> = fresh
+                let bound: FxHashSet<Var> = rule
                     .head
                     .vars()
                     .filter(|v| s.walk(Term::Var(*v)).is_ground())
                     .collect();
                 let goals = if self.reorder {
-                    sip_order(&fresh.body, &bound)
+                    sip_order(&rule.body, &bound)
                 } else {
-                    fresh.body.clone()
+                    rule.body.clone()
                 };
                 self.work.push(Node {
                     table: t,
-                    head: fresh.head.clone(),
+                    head: rule.head.clone(),
                     goals,
                     subst: s,
                 });
@@ -460,7 +460,7 @@ pub fn oldt_query_opts(
         rules_by_pred
             .entry(r.head.predicate())
             .or_default()
-            .push(r.clone());
+            .push(crate::standardize(r));
     }
 
     let mut engine = Engine {

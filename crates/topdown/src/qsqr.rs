@@ -280,12 +280,11 @@ impl<'a> Engine<'a> {
                     // already derived everything this rule can.
                     continue;
                 }
-                let fresh = rule.rectified();
                 // Bind the head's bound positions to the input tuple.
                 let mut s = Subst::new();
                 let mut ok = true;
                 let mut bi = 0usize;
-                for (t, bf) in fresh.head.terms.iter().zip(&key.1 .0) {
+                for (t, bf) in rule.head.terms.iter().zip(&key.1 .0) {
                     if *bf == Bf::Bound {
                         let c = Term::Const(input.get(bi));
                         bi += 1;
@@ -298,12 +297,12 @@ impl<'a> Engine<'a> {
                 if !ok {
                     continue;
                 }
-                let bound_vars: FxHashSet<alexander_ir::Var> = fresh
+                let bound_vars: FxHashSet<alexander_ir::Var> = rule
                     .head
                     .vars()
                     .filter(|v| s.walk(Term::Var(*v)).is_ground())
                     .collect();
-                let goals = sip_order(&fresh.body, &bound_vars);
+                let goals = sip_order(&rule.body, &bound_vars);
                 let idb_positions: Vec<usize> = goals
                     .iter()
                     .enumerate()
@@ -314,7 +313,7 @@ impl<'a> Engine<'a> {
                     .collect();
                 if first_pass || idb_positions.is_empty() {
                     self.metrics.resolution_steps += 1;
-                    self.body(&fresh.head, &goals, 0, s, key, &[], &thresholds);
+                    self.body(&rule.head, &goals, 0, s, key, &[], &thresholds);
                 } else {
                     for delta_ord in 0..idb_positions.len() {
                         if self.tripped() {
@@ -329,7 +328,7 @@ impl<'a> Engine<'a> {
                             };
                         }
                         self.metrics.resolution_steps += 1;
-                        self.body(&fresh.head, &goals, 0, s.clone(), key, &modes, &thresholds);
+                        self.body(&rule.head, &goals, 0, s.clone(), key, &modes, &thresholds);
                     }
                 }
             }
@@ -535,7 +534,7 @@ pub fn qsqr_query_opts(
         rules_by_pred
             .entry(r.head.predicate())
             .or_default()
-            .push(r.clone());
+            .push(crate::standardize(r));
     }
 
     let mut engine = Engine {

@@ -1,17 +1,22 @@
 //! Property tests over *randomly generated programs* (not just random data):
 //! evaluator agreement on definite programs, and the stratification
 //! hierarchy theorems from the analysis layer.
+//!
+//! Every bottom-up evaluator runs rule bodies through the one executor, so
+//! each property keeps one *independent* oracle: naive evaluation (a
+//! separate fixpoint loop) for the semi-naive engine across thread counts
+//! and budgets, and OLDT (separate top-down code) for the models, with and
+//! without stratified negation.
 
-use alexander_bench::legacy::{eval_seminaive_legacy, LegacyDb};
 use alexander_eval::{
     eval_conditional, eval_naive, eval_naive_parallel_opts, eval_seminaive, eval_seminaive_opts,
-    eval_stratified, eval_stratified_opts, Budget, Completion, EvalOptions, ExecMode, Resource,
+    eval_stratified, eval_stratified_opts, Budget, Completion, EvalOptions, Resource,
 };
 use alexander_ir::analysis::{locally_stratified, loosely_stratified, stratify};
 use alexander_ir::{Atom, Literal, Polarity, Predicate, Program, Rule, Term};
 use alexander_storage::Database;
 use alexander_topdown::oldt_query;
-use alexander_transform::{alexander, sup_magic_sets, SipOptions};
+use alexander_transform::{alexander, query_answers, sup_magic_sets, SipOptions};
 use proptest::prelude::*;
 
 const CONSTS: [&str; 4] = ["a", "b", "c", "d"];
@@ -137,13 +142,28 @@ fn random_edb() -> impl Strategy<Value = Database> {
         })
 }
 
-fn legacy_snapshot(db: &LegacyDb) -> Vec<String> {
-    let mut out: Vec<String> = db
-        .iter()
-        .map(|(p, t)| t.to_atom(p.name).to_string())
-        .collect();
-    out.sort();
-    out
+/// The answers to `query` over `program` according to OLDT, sorted.
+fn oldt_answers(program: &Program, edb: &Database, query: &Atom) -> Vec<String> {
+    let oldt = oldt_query(program, edb, query).unwrap();
+    let mut got: Vec<String> = oldt.answers.iter().map(|a| a.to_string()).collect();
+    got.sort();
+    got.dedup();
+    got
+}
+
+/// The first intensional predicate of `program` whose all-free OLDT query
+/// answers differ from its extension in `model`, if any.
+fn oldt_disagreement(program: &Program, edb: &Database, model: &Database) -> Option<Predicate> {
+    IDB.iter().find_map(|&(name, arity)| {
+        let pred = Predicate::new(name, arity);
+        if !program.is_idb(pred) {
+            return None;
+        }
+        let query = Atom::new(name, VARS[..arity].iter().map(|v| Term::var(v)).collect());
+        let mut want: Vec<String> = model.atoms_of(pred).iter().map(|a| a.to_string()).collect();
+        want.sort();
+        (oldt_answers(program, edb, &query) != want).then_some(pred)
+    })
 }
 
 fn db_snapshot(db: &Database) -> Vec<String> {
@@ -187,28 +207,7 @@ proptest! {
     ) {
         prop_assume!(program.validate().is_ok());
         let semi = eval_seminaive(&program, &edb).unwrap();
-        for (name, arity) in IDB {
-            let pred = Predicate::new(name, *arity);
-            if !program.is_idb(pred) {
-                continue;
-            }
-            let query = Atom::new(
-                name,
-                (0..*arity).map(|i| Term::var(VARS[i])).collect(),
-            );
-            let oldt = oldt_query(&program, &edb, &query).unwrap();
-            let mut got: Vec<String> = oldt.answers.iter().map(|a| a.to_string()).collect();
-            got.sort();
-            got.dedup();
-            let mut want: Vec<String> = semi
-                .db
-                .atoms_of(pred)
-                .iter()
-                .map(|a| a.to_string())
-                .collect();
-            want.sort();
-            prop_assert_eq!(got, want, "predicate {}", pred);
-        }
+        prop_assert_eq!(oldt_disagreement(&program, &edb, &semi.db), None);
     }
 
     /// Bry's hierarchy, one direction each:
@@ -279,59 +278,64 @@ proptest! {
         }
     }
 
-    /// The arena storage rewrite is semantics- and counter-preserving: on
-    /// random definite programs the arena engine produces the same model,
-    /// fact totals and inference counters as the pre-rewrite boxed-tuple
-    /// engine, and stays bit-identical across rewriting strategies
-    /// (base/alexander/supmagic) × executors (blocked/tuple) × {1,4}
-    /// threads × budget/no-budget. The budget leg uses a non-binding
-    /// budget — binding budgets legitimately truncate, and their soundness
-    /// is covered by the budget properties below.
+    /// Semi-naive evaluation is exact against its oracles on random
+    /// definite programs, for the base program and its Alexander and
+    /// supplementary-magic rewritings: at {1, 4} threads × {budget, no
+    /// budget} every run computes naive evaluation's model with identical
+    /// counters, and the query's answers equal OLDT's on the base program.
+    /// The budget leg uses a non-binding budget — binding budgets
+    /// legitimately truncate, and their soundness is covered by the budget
+    /// properties below.
     #[test]
-    fn arena_matches_legacy_across_strategies_threads_and_budgets(
+    fn seminaive_matches_naive_and_oldt_across_strategies_threads_and_budgets(
         program in definite_program(),
         edb in random_edb(),
     ) {
         prop_assume!(program.validate().is_ok());
         let q = Atom::new("p", vec![Term::var("X"), Term::var("Y")]);
         let opts = SipOptions::default();
-        let mut strategies: Vec<(&str, Program)> = vec![("base", program.clone())];
+        let want_answers = if program.is_idb(q.predicate()) {
+            Some(oldt_answers(&program, &edb, &q))
+        } else {
+            None
+        };
+        let mut strategies: Vec<(&str, Program, Atom)> =
+            vec![("base", program.clone(), q.clone())];
         if let Ok(r) = alexander(&program, &q, opts) {
-            strategies.push(("alexander", r.program));
+            strategies.push(("alexander", r.program, r.query));
         }
         if let Ok(r) = sup_magic_sets(&program, &q, opts) {
-            strategies.push(("supmagic", r.program));
+            strategies.push(("supmagic", r.program, r.query));
         }
-        for (sname, prog) in &strategies {
-            let legacy = eval_seminaive_legacy(prog, &edb);
-            let seq = eval_seminaive(prog, &edb).unwrap();
-            let want = db_snapshot(&seq.db);
-            prop_assert_eq!(&legacy_snapshot(&legacy.db), &want,
-                "{}: legacy and arena models differ", sname);
-            prop_assert_eq!(legacy.db.total_tuples(), seq.db.total_tuples() as u64,
-                "{}: fact totals differ", sname);
-            prop_assert_eq!(&legacy.metrics, &seq.metrics,
-                "{}: inference counters differ", sname);
+        for (sname, prog, answer_pattern) in &strategies {
+            let want = db_snapshot(&eval_naive(prog, &edb).unwrap().db);
+            let first = eval_seminaive(prog, &edb).unwrap();
             let budgets = [None, Some(Budget::default().with_max_facts(u64::MAX))];
-            for exec in [ExecMode::Blocked, ExecMode::Tuple] {
-                for threads in [1usize, 4] {
-                    for budget in budgets {
-                        let mut o = EvalOptions::with_threads(threads).with_exec(exec);
-                        if let Some(b) = budget {
-                            o = o.with_budget(b);
-                        }
-                        let r = eval_seminaive_opts(prog, &edb, o).unwrap();
-                        prop_assert!(r.completion.is_complete(),
-                            "{}/{}/{} threads: non-binding budget cut the run",
-                            sname, exec, threads);
-                        prop_assert_eq!(&db_snapshot(&r.db), &want,
-                            "{}/{}/{} threads/budget {}: model differs",
-                            sname, exec, threads, budget.is_some());
-                        prop_assert_eq!(&r.metrics, &seq.metrics,
-                            "{}/{}/{} threads/budget {}: counters differ",
-                            sname, exec, threads, budget.is_some());
+            for threads in [1usize, 4] {
+                for budget in budgets {
+                    let mut o = EvalOptions::with_threads(threads);
+                    if let Some(b) = budget {
+                        o = o.with_budget(b);
                     }
+                    let r = eval_seminaive_opts(prog, &edb, o).unwrap();
+                    prop_assert!(r.completion.is_complete(),
+                        "{}/{} threads: non-binding budget cut the run", sname, threads);
+                    prop_assert_eq!(&db_snapshot(&r.db), &want,
+                        "{}/{} threads/budget {}: model differs from naive",
+                        sname, threads, budget.is_some());
+                    prop_assert_eq!(&r.metrics, &first.metrics,
+                        "{}/{} threads/budget {}: counters differ",
+                        sname, threads, budget.is_some());
                 }
+            }
+            if let Some(want_answers) = &want_answers {
+                let mut got: Vec<String> = query_answers(&first.db, answer_pattern)
+                    .into_iter()
+                    .map(|a| Atom { pred: q.pred, terms: a.terms }.to_string())
+                    .collect();
+                got.sort();
+                got.dedup();
+                prop_assert_eq!(&got, want_answers, "{}: answers differ from OLDT", sname);
             }
         }
     }
@@ -423,6 +427,20 @@ proptest! {
         ).unwrap();
         let resumed = eval_seminaive(&program, &partial.db).unwrap();
         prop_assert_eq!(db_snapshot(&resumed.db), full);
+    }
+
+    /// OLDT with stratified negation answers every query exactly like the
+    /// perfect model: the independent top-down check of the stratified and
+    /// conditional evaluators, which share one executor.
+    #[test]
+    fn oldt_agrees_with_stratified_on_stratified_programs(
+        program in negation_program(),
+        edb in random_edb(),
+    ) {
+        prop_assume!(program.validate().is_ok());
+        prop_assume!(stratify(&program).is_ok());
+        let strat = eval_stratified(&program, &edb).unwrap();
+        prop_assert_eq!(oldt_disagreement(&program, &edb, &strat.db), None);
     }
 
     /// The conditional fixpoint agrees with stratified evaluation whenever
